@@ -14,7 +14,7 @@ Each benchmark isolates one mechanism and measures what it buys:
 import pytest
 from conftest import bench_rng
 
-from repro.core.pruning import _backward_pass, _dedup_pass, prune_schedule
+from repro.core.pruning import prune_schedule
 from repro.core.schedule import Schedule, Timestep
 from repro.core.tokenset import TokenSet
 from repro.exact.branch_and_bound import SearchBudget, _Searcher

@@ -15,6 +15,18 @@ heuristic quality on graphs too large for the exact solvers:
   total incoming capacity per step, so completion takes at least
   ``i + ceil(outside_i / in_capacity)`` more steps.
 
+  All vertices and radii are evaluated in one *radius closure* over
+  token bitmasks: ``R_0[v]`` is ``v``'s possession mask and
+  ``R_{i+1}[v] = R_i[v] | OR_{u -> v} R_i[u]``, so ``R_i[v]`` holds
+  exactly the tokens possessed within ``i`` hops of ``v`` and
+  ``outside_i(v) = popcount(need[v] & ~R_i[v])``.  The closure runs until
+  no vertex still needs an outside token (or until a round changes
+  nothing, at most ``diameter + 1`` rounds), so the whole bound costs
+  ``O(diameter * |E|)`` big-int ORs.  Needed bits still outside the final
+  closure mean no holder can reach that vertex: the instance is
+  infeasible.  This is the time-expanded reachability of an exact solver
+  collapsed to token masks.
+
   The paper divides by *indegree*; we divide by the total incoming
   *capacity* instead, because with capacities above one the indegree
   version can exceed the true optimum and stop being a lower bound.
@@ -29,8 +41,7 @@ when it is omitted.
 from __future__ import annotations
 
 import math
-from collections import deque
-from typing import List, Optional, Sequence
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.core.problem import Problem
 from repro.core.tokenset import TokenSet
@@ -76,84 +87,56 @@ def remaining_bandwidth(
     )
 
 
-def _reverse_distances_to(problem: Problem, dst: int) -> List[int]:
-    """Hop distances from every vertex *to* ``dst`` (−1 if it cannot reach)."""
-    dist = [-1] * problem.num_vertices
-    dist[dst] = 0
-    queue = deque([dst])
-    while queue:
-        v = queue.popleft()
-        for arc in problem.in_arcs(v):
-            if dist[arc.src] == -1:
-                dist[arc.src] = dist[v] + 1
-                queue.append(arc.src)
-    return dist
-
-
-def _vertex_timestep_bound(
-    problem: Problem, v: int, needed: TokenSet, possession: Sequence[TokenSet]
-) -> int:
-    """``max_i M_i(v)`` for a single vertex ``v`` with ``needed`` tokens."""
-    dist_to_v = _reverse_distances_to(problem, v)
-    token_dist: List[int] = []
-    for token in needed:
-        best = math.inf
-        for u in range(problem.num_vertices):
-            if token in possession[u] and dist_to_v[u] != -1 and dist_to_v[u] < best:
-                best = dist_to_v[u]
-        if best is math.inf:
-            raise InfeasibleBoundError(
-                f"vertex {v} needs token {token}, which no vertex that can "
-                f"reach it possesses"
-            )
-        token_dist.append(int(best))
-    if not token_dist:
-        return 0
-    in_cap = problem.in_capacity(v)
-    if in_cap == 0:
-        raise InfeasibleBoundError(
-            f"vertex {v} still needs tokens but has no incoming arcs"
-        )
-    token_dist.sort()
-    max_dist = token_dist[-1]
-    best_bound = 0
-    # outside_i = number of needed tokens whose nearest holder is at
-    # distance > i.  Sweep i from 0 to max_dist - 1; at i >= max_dist the
-    # outside set is empty and M_i degenerates to i, covered by i = max_dist - 1.
-    total = len(token_dist)
-    consumed = 0  # tokens with distance <= i
-    for i in range(max_dist):
-        while consumed < total and token_dist[consumed] <= i:
-            consumed += 1
-        outside = total - consumed
-        bound = i + math.ceil(outside / in_cap)
-        if bound > best_bound:
-            best_bound = bound
-    # i = 0 with outside = all needed tokens at distance >= 1 is included
-    # above; also ensure the plain farthest-token bound survives rounding.
-    if max_dist > best_bound:
-        best_bound = max_dist
-    return best_bound
-
-
 def remaining_timesteps(
     problem: Problem, possession: Optional[Sequence[TokenSet]] = None
 ) -> int:
     """The paper's radius-closure makespan lower bound, maximized over
     vertices and radii.
 
+    One :meth:`Problem.reach_closures` pass seeded with the possession
+    masks gives ``R_i[v]``, the tokens held within ``i`` hops of ``v``;
+    ``outside_i(v)`` is the popcount of ``v``'s needed tokens not in
+    ``R_i[v]``.  A vertex leaves the sweep once ``outside_i(v)`` is 0.
+
     Returns 0 when every want is already satisfied.  Raises
-    :class:`InfeasibleBoundError` when some want can never be satisfied.
+    :class:`InfeasibleBoundError` when some want can never be satisfied,
+    naming the lowest such vertex and its lowest unreachable token.
     """
     possession = _possession_or_initial(problem, possession)
+    held = [tokens.mask for tokens in possession]
+    pending: Dict[int, Tuple[int, int]] = {}
+    for v, wanted in enumerate(problem.want):
+        needed = wanted.mask & ~held[v]
+        if needed:
+            # A vertex with no in-arcs never leaves ``pending`` and is
+            # reported as infeasible below; the 1 only avoids dividing by 0.
+            pending[v] = (needed, problem.in_capacity(v) or 1)
     best = 0
-    for v in range(problem.num_vertices):
-        needed = problem.want[v] - possession[v]
-        if not needed:
-            continue
-        bound = _vertex_timestep_bound(problem, v, needed, possession)
-        if bound > best:
-            best = bound
+    reach = held
+    rounds = problem.reach_closures(held)
+    radius = 0
+    while pending:
+        for v, (needed, in_cap) in list(pending.items()):
+            outside = (needed & ~reach[v]).bit_count()
+            if outside == 0:
+                del pending[v]
+                continue
+            bound = radius - (-outside // in_cap)
+            if bound > best:
+                best = bound
+        if not pending:
+            break
+        following = next(rounds, None)
+        if following is None:
+            v = min(pending)
+            unreachable = pending[v][0] & ~reach[v]
+            token = (unreachable & -unreachable).bit_length() - 1
+            raise InfeasibleBoundError(
+                f"vertex {v} needs token {token}, which no vertex that can "
+                f"reach it possesses"
+            )
+        reach = following
+        radius += 1
     return best
 
 

@@ -17,7 +17,17 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.core.tokenset import EMPTY_TOKENSET, TokenSet
 
@@ -90,6 +100,8 @@ class Problem:
         "_in_arcs",
         "_capacity",
         "_dist_cache",
+        "_in_nbrs",
+        "_diameter",
     )
 
     def __init__(
@@ -108,6 +120,8 @@ class Problem:
         self.want: Tuple[TokenSet, ...] = tuple(want)
         self.name = name
         self._dist_cache: Optional[List[List[int]]] = None
+        self._in_nbrs: Optional[Tuple[Tuple[int, ...], ...]] = None
+        self._diameter: Optional[int] = None
         self._validate()
         self._build_adjacency()
 
@@ -288,7 +302,7 @@ class Problem:
         """Unweighted (hop-count) shortest-path distances from ``src``.
 
         Unreachable vertices get ``-1``.  Results are cached per problem,
-        so repeated calls (the bounds module sweeps all sources) are cheap.
+        so repeated calls (the exact solvers sweep all sources) are cheap.
         """
         if self._dist_cache is None:
             self._dist_cache = [[] for _ in range(self.num_vertices)]
@@ -311,19 +325,55 @@ class Problem:
         """Hop distance ``src -> dst`` (``-1`` if unreachable)."""
         return self.distances_from(src)[dst]
 
+    def reach_closures(self, seeds: Sequence[int]) -> Iterator[List[int]]:
+        """Successive in-closures of per-vertex bitmasks, one hop at a time.
+
+        With ``R_0 = seeds``, yields ``R_1, R_2, ...`` where
+        ``R_{i+1}[v] = R_i[v] | OR_{u -> v} R_i[u]``, so ``R_i[v]`` is the
+        union of the seeds of every vertex that reaches ``v`` in at most
+        ``i`` hops.  Stops at the first round that changes no mask, so at
+        most ``diameter + 1`` rounds are computed.  Each round costs one
+        big-int OR per arc; each yielded list is fresh and may be kept.
+
+        Seeded with token masks this is the reach set behind the
+        radius-closure timestep bound; seeded with ``1 << v`` it is the
+        all-pairs reachability that :meth:`diameter` counts.
+        """
+        if self._in_nbrs is None:
+            self._in_nbrs = tuple(
+                tuple(arc.src for arc in arcs) for arcs in self._in_arcs
+            )
+        in_nbrs = self._in_nbrs
+        current = list(seeds)
+        while True:
+            changed = False
+            following: List[int] = []
+            for own, sources in zip(current, in_nbrs):
+                mask = own
+                for u in sources:
+                    mask |= current[u]
+                if mask != own:
+                    changed = True
+                following.append(mask)
+            if not changed:
+                return
+            current = following
+            yield current
+
     def diameter(self) -> int:
         """Longest finite shortest-path distance between any vertex pair.
 
         Ignores unreachable pairs; returns 0 for a single vertex.  Used by
         the LOCD flood-then-optimal algorithm (Section 4.2), which floods
         knowledge for ``diameter`` steps before executing an optimal plan.
+        Computed as the number of :meth:`reach_closures` rounds, seeded
+        with one bit per vertex, that change some mask (round ``i`` adds
+        exactly the pairs at distance ``i``), and cached per problem.
         """
-        best = 0
-        for v in range(self.num_vertices):
-            for d in self.distances_from(v):
-                if d > best:
-                    best = d
-        return best
+        if self._diameter is None:
+            seeds = [1 << v for v in range(self.num_vertices)]
+            self._diameter = sum(1 for _ in self.reach_closures(seeds))
+        return self._diameter
 
     # ------------------------------------------------------------------
     # Problem-level queries

@@ -16,6 +16,11 @@ timestep ``i`` depends only on retained moves at timesteps ``> i`` (a
 vertex can only send what it possessed at the start of the step), a single
 backward pass removes entire useless relay chains.
 
+Both passes run on raw ``int`` token bitmasks (``& ~``, ``|`` and
+``int.bit_count()``) and count their bandwidth as they go; masks are
+wrapped in :class:`~repro.core.tokenset.TokenSet` only when the output
+timesteps are built.
+
 Pruning never changes the makespan: timesteps are kept in place, possibly
 empty.  Use :func:`drop_empty_tail` afterwards if trailing empty steps
 should be trimmed.
@@ -28,9 +33,11 @@ from typing import Dict, List, Tuple
 
 from repro.core.problem import Problem
 from repro.core.schedule import Schedule, Timestep
-from repro.core.tokenset import EMPTY_TOKENSET, TokenSet
 
-__all__ = ["PruneStats", "prune_schedule", "drop_empty_tail"]
+__all__ = ["PruneStats", "MaskStep", "dedup_masks", "prune_schedule", "drop_empty_tail"]
+
+#: One timestep's sends as ``(src, dst) -> token bitmask``.
+MaskStep = Dict[Tuple[int, int], int]
 
 
 @dataclass(frozen=True)
@@ -54,51 +61,59 @@ class PruneStats:
         return self.original_bandwidth - self.after_backward
 
 
-def _dedup_pass(problem: Problem, schedule: Schedule) -> List[Dict[Tuple[int, int], TokenSet]]:
-    """Keep only the first delivery of each token to each vertex.
+def dedup_masks(problem: Problem, schedule: Schedule) -> Tuple[List[MaskStep], int, int]:
+    """Pass 1: keep only the first delivery of each token to each vertex.
 
     Within one timestep, parallel deliveries of the same token to the same
     vertex over different arcs are reduced to one (lowest source id wins,
-    for determinism).
+    for determinism).  Returns the kept sends of every timestep (empty
+    steps included, arcs in sorted order) together with the schedule's
+    bandwidth and the kept bandwidth.
     """
-    delivered: List[TokenSet] = list(problem.have)
-    new_steps: List[Dict[Tuple[int, int], TokenSet]] = []
+    delivered = [tokens.mask for tokens in problem.have]
+    steps: List[MaskStep] = []
+    sent = kept_bw = 0
     for step in schedule.steps:
-        kept: Dict[Tuple[int, int], TokenSet] = {}
-        arriving_this_step: List[TokenSet] = [EMPTY_TOKENSET] * problem.num_vertices
-        for (src, dst), tokens in sorted(step.sends.items()):
-            useful = tokens - delivered[dst] - arriving_this_step[dst]
+        kept: MaskStep = {}
+        for arc, tokens in sorted(step.sends.items()):
+            mask = tokens.mask
+            sent += mask.bit_count()
+            dst = arc[1]
+            # ``delivered`` is read only to dedup deliveries to ``dst``,
+            # so folding this step's arrivals in at once is exact.
+            useful = mask & ~delivered[dst]
             if useful:
-                kept[(src, dst)] = useful
-                arriving_this_step[dst] = arriving_this_step[dst] | useful
-        for v in range(problem.num_vertices):
-            if arriving_this_step[v]:
-                delivered[v] = delivered[v] | arriving_this_step[v]
-        new_steps.append(kept)
-    return new_steps
+                kept[arc] = useful
+                delivered[dst] |= useful
+                kept_bw += useful.bit_count()
+        steps.append(kept)
+    return steps, sent, kept_bw
 
 
-def _backward_pass(
-    problem: Problem, steps: List[Dict[Tuple[int, int], TokenSet]]
-) -> List[Dict[Tuple[int, int], TokenSet]]:
-    """Remove deliveries whose token the destination never uses.
+def _backward_masks(problem: Problem, steps: List[MaskStep]) -> Tuple[List[MaskStep], int]:
+    """Pass 2: remove deliveries whose token the destination never uses.
 
     ``future_sends[v]`` accumulates the tokens vertex ``v`` sends in
-    retained timesteps strictly after the one being examined.
+    retained timesteps strictly after the one being examined.  Returns
+    the retained sends and their bandwidth.
     """
-    future_sends: List[TokenSet] = [EMPTY_TOKENSET] * problem.num_vertices
-    pruned: List[Dict[Tuple[int, int], TokenSet]] = []
+    want = [tokens.mask for tokens in problem.want]
+    future_sends = [0] * problem.num_vertices
+    pruned: List[MaskStep] = []
+    kept_bw = 0
     for step in reversed(steps):
-        kept: Dict[Tuple[int, int], TokenSet] = {}
-        for (src, dst), tokens in step.items():
-            used = tokens & (problem.want[dst] | future_sends[dst])
+        kept: MaskStep = {}
+        for arc, mask in step.items():
+            dst = arc[1]
+            used = mask & (want[dst] | future_sends[dst])
             if used:
-                kept[(src, dst)] = used
-        for (src, _dst), tokens in kept.items():
-            future_sends[src] = future_sends[src] | tokens
+                kept[arc] = used
+                kept_bw += used.bit_count()
+        for (src, _dst), mask in kept.items():
+            future_sends[src] |= mask
         pruned.append(kept)
     pruned.reverse()
-    return pruned
+    return pruned, kept_bw
 
 
 def prune_schedule(problem: Problem, schedule: Schedule) -> Tuple[Schedule, PruneStats]:
@@ -108,16 +123,13 @@ def prune_schedule(problem: Problem, schedule: Schedule) -> Tuple[Schedule, Prun
     has the same makespan, never more bandwidth, and is successful iff the
     input was.
     """
-    deduped = _dedup_pass(problem, schedule)
-    after_dedup_bw = sum(
-        len(tokens) for step in deduped for tokens in step.values()
-    )
-    swept = _backward_pass(problem, deduped)
-    pruned = Schedule([Timestep(step) for step in swept])
+    deduped, original_bw, after_dedup_bw = dedup_masks(problem, schedule)
+    swept, after_backward_bw = _backward_masks(problem, deduped)
+    pruned = Schedule([Timestep.from_masks(step) for step in swept])
     stats = PruneStats(
-        original_bandwidth=schedule.bandwidth,
+        original_bandwidth=original_bw,
         after_dedup=after_dedup_bw,
-        after_backward=pruned.bandwidth,
+        after_backward=after_backward_bw,
     )
     return pruned, stats
 

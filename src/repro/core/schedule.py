@@ -68,6 +68,18 @@ class Timestep:
         return step
 
     @classmethod
+    def from_masks(cls, sends: Mapping[Tuple[int, int], int]) -> "Timestep":
+        """Build a timestep from raw token bitmasks, skipping zero masks.
+
+        For passes that work on ``int`` masks and wrap them in
+        :class:`TokenSet` only once, when the output is built; arc order
+        is kept.
+        """
+        step = cls()
+        step.sends = {arc: TokenSet(mask) for arc, mask in sends.items() if mask}
+        return step
+
+    @classmethod
     def from_moves(cls, moves: Iterable[Move]) -> "Timestep":
         step = cls()
         for move in moves:

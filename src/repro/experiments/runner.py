@@ -20,8 +20,19 @@ from __future__ import annotations
 
 import random
 import statistics
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import (
+    Any,
+    Callable,
+    ContextManager,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+)
 
 from repro.core.bounds import remaining_bandwidth, remaining_timesteps
 from repro.core.problem import Problem
@@ -29,6 +40,7 @@ from repro.core.pruning import prune_schedule
 from repro.experiments.report import FigureResult
 from repro.experiments.sweep import Executor, PointSpec
 from repro.heuristics import HEURISTIC_FACTORIES
+from repro.obs.metrics import MetricsRegistry, current_metrics
 from repro.sim.engine import Engine
 
 __all__ = [
@@ -89,6 +101,11 @@ class SeriesPoint:
         }
 
 
+def _phase(metrics: Optional[MetricsRegistry], name: str) -> ContextManager[None]:
+    """``metrics.timer(name)`` when profiling, else a clock-free no-op."""
+    return metrics.timer(name) if metrics is not None else nullcontext()
+
+
 def run_trial(
     problem_factory: Callable[[random.Random], Problem],
     base_seed: int,
@@ -101,13 +118,21 @@ def run_trial(
     All randomness derives from ``(base_seed, trial, heuristic index)``,
     so the records are a deterministic function of the arguments and the
     trial can run in any process, in any order.
+
+    Inside a profiled sweep (an ambient registry from
+    :func:`repro.obs.metrics_active`) the trial's own phases are timed
+    as ``instance_build``, ``bounds`` and ``prune``, beside the engines'
+    ``heuristic_select`` and ``kernel_apply``.
     """
     if heuristics is None:
         heuristics = list(HEURISTIC_FACTORIES)
+    metrics = current_metrics()
     instance_rng = random.Random(base_seed + trial)
-    problem = problem_factory(instance_rng)
-    bound_bw = remaining_bandwidth(problem)
-    bound_ts = remaining_timesteps(problem)
+    with _phase(metrics, "instance_build"):
+        problem = problem_factory(instance_rng)
+    with _phase(metrics, "bounds"):
+        bound_bw = remaining_bandwidth(problem)
+        bound_ts = remaining_timesteps(problem)
     records: List[TrialRecord] = []
     for h_index, name in enumerate(heuristics):
         heuristic = HEURISTIC_FACTORIES[name]()
@@ -120,7 +145,8 @@ def run_trial(
             max_steps=max_steps,
         )
         result = engine.run()
-        pruned, _stats = prune_schedule(problem, result.schedule)
+        with _phase(metrics, "prune"):
+            pruned, _stats = prune_schedule(problem, result.schedule)
         records.append(
             TrialRecord(
                 heuristic=name,

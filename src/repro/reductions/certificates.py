@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import List, Tuple
 
 from repro.core.problem import Problem
-from repro.core.pruning import _dedup_pass
+from repro.core.pruning import dedup_masks
 from repro.core.schedule import Schedule, ScheduleError, Timestep
 
 __all__ = [
@@ -52,10 +52,8 @@ def cleanup_schedule(problem: Problem, schedule: Schedule) -> Schedule:
     possession only ever grows).  The result has at most ``m(n-1)``
     moves spread over at most ``m(n-1)`` timesteps, which is what the
     Theorem 2 encoding budget assumes."""
-    steps = [
-        Timestep(step) for step in _dedup_pass(problem, schedule) if step
-    ]
-    return Schedule(steps)
+    deduped, _sent, _kept = dedup_masks(problem, schedule)
+    return Schedule([Timestep.from_masks(step) for step in deduped if step])
 
 
 # ----------------------------------------------------------------------

@@ -552,6 +552,26 @@ class TestRunLedger:
         (end,) = read_events(str(path), kind="sweep_end")
         assert end["profile"] == snap
 
+    def test_profile_covers_every_trial_phase(self, tmp_path):
+        # run_trial times its own phases next to the engines' ones: one
+        # instance build and one bounds pass per trial, one prune per
+        # heuristic.  Profiling must not move a record or a trace byte.
+        from repro.heuristics import HEURISTIC_FACTORIES
+
+        spec = self._fig2_spec()
+        plain = Executor(ExecutorConfig(trace_dir=str(tmp_path / "plain")))
+        profiled = Executor(
+            ExecutorConfig(trace_dir=str(tmp_path / "profiled"), profile=True)
+        )
+        assert plain.run([spec]) == profiled.run([spec])
+        phases = profiled.profile.snapshot()["phases"]
+        assert phases["instance_build"]["calls"] == 1
+        assert phases["bounds"]["calls"] == 1
+        assert phases["prune"]["calls"] == len(HEURISTIC_FACTORIES)
+        (plain_file,) = sorted((tmp_path / "plain").iterdir())
+        (profiled_file,) = sorted((tmp_path / "profiled").iterdir())
+        assert plain_file.read_bytes() == profiled_file.read_bytes()
+
     def test_unprofiled_sweep_keeps_profile_empty(self, tmp_path):
         executor = Executor(
             ExecutorConfig(ledger_path=str(tmp_path / "l.jsonl"))
