@@ -26,6 +26,11 @@ every pair — and any ``--kernel`` override — run the exact same
 workload.  Both sides' schedules are asserted identical before any
 number is recorded.
 
+The ``global/n=200`` and ``bandwidth/n=200`` cases pit the frozen
+oracle against the scalar kernel on the Figure 2 shape (one 40-token
+file); the figure drivers keep those two heuristics on the scalar
+kernel, so these gate their own proposal loops.
+
 Because both implementations are timed in the same process on the same
 machine, their *ratio* (the speedup) is machine-independent enough to
 gate in CI: ``--check`` re-measures and fails when any case's speedup
@@ -42,10 +47,11 @@ printed informationally.
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/engine_perf.py            # rewrite baseline
+    PYTHONPATH=src python benchmarks/engine_perf.py --write    # rewrite baseline
+    PYTHONPATH=src python benchmarks/engine_perf.py --write --cases global/n=200
     PYTHONPATH=src python benchmarks/engine_perf.py --check    # CI regression gate
     PYTHONPATH=src python benchmarks/engine_perf.py --check --cases round_robin
-    PYTHONPATH=src python benchmarks/engine_perf.py --kernel batch
+    PYTHONPATH=src python benchmarks/engine_perf.py --check --kernel batch
     PYTHONPATH=src python benchmarks/engine_perf.py --trace-overhead
 """
 
@@ -136,6 +142,12 @@ CASES: Dict[str, BenchCase] = {
     "local/n=100": BenchCase("local", 100, 50),
     "local/n=200": BenchCase("local", 200, 50),
     "random/n=150": BenchCase("random", 150, 60),
+    # The coordinated heuristics on the Figure 2 shape (one 40-token
+    # file): they keep their scalar kernel in the figure drivers, so
+    # their own proposal loops (Global's cached per-receiver supply,
+    # Bandwidth's early-stopping relay search) are what these gate.
+    "global/n=200": BenchCase("global", 200, 40),
+    "bandwidth/n=200": BenchCase("bandwidth", 200, 40),
     # Vectorized batch kernel vs the scalar SimState kernel.  Round-robin
     # is the vector-path client; at these sizes the per-arc Python lap
     # dominates the scalar run.
@@ -253,10 +265,7 @@ def _step_sends(timestep):
     enumeration order.  Byte-level send order between the scalar and
     batch kernels is pinned separately by the differential trace suite.
     """
-    stream = getattr(timestep, "iter_sends_masks", None)
-    if stream is not None:
-        return dict(stream())
-    return {key: tokens.mask for key, tokens in timestep.sends.items()}
+    return dict(timestep.iter_sends_masks())
 
 
 def schedules_equal(a, b) -> bool:
@@ -311,33 +320,36 @@ def measure(
 
 
 def write_baseline(
-    repeats: int, kernel_override: Optional[str], include_heavy: bool
+    repeats: int,
+    case_filter: Optional[str],
+    kernel_override: Optional[str],
+    include_heavy: bool,
 ) -> None:
-    cases = measure(
-        repeats, kernel_override=kernel_override, include_heavy=include_heavy
-    )
+    """Measure the selected cases and merge them into the baseline.
+
+    Only the measured entries change: every other committed entry —
+    cases outside ``case_filter``, heavy cases without ``--heavy``, and
+    entries owned by other harnesses (e.g. benchmarks/
+    attribution_overhead.py) — is kept as committed.
+    """
+    measured = measure(repeats, case_filter, kernel_override, include_heavy)
+    cases: Dict[str, Dict[str, object]] = {}
     if BASELINE_PATH.exists():
+        # Committed order first, so a partial rewrite diffs in place.
         previous = json.loads(BASELINE_PATH.read_text())["cases"]
         for label, entry in previous.items():
-            if label in cases:
-                continue
-            if label not in CASES:
-                # Entries owned by other harnesses (e.g. benchmarks/
-                # attribution_overhead.py) must survive regeneration.
-                cases[label] = entry
-                print(f"{label}: kept entry owned by another harness")
-            elif CASES[label].heavy and not include_heavy:
-                # Heavy entries are measured rarely, with --heavy; keep
-                # them instead of silently dropping them.
-                cases[label] = entry
-                print(f"{label}: kept committed entry (rerun with --heavy)")
+            if label not in measured:
+                print(f"{label}: kept committed entry")
+            cases[label] = measured.get(label, entry)
+    cases.update(measured)
     payload = {
         "_comment": (
             "Engine throughput: per-case old-vs-new engine pairs (frozen "
             "reference vs incremental SimState; scalar SimState vs batch "
             "kernel), best-of-N wall time on identical label-seeded "
             "workloads. Regenerate with: "
-            "PYTHONPATH=src python benchmarks/engine_perf.py [--heavy]"
+            "PYTHONPATH=src python benchmarks/engine_perf.py --write "
+            "[--cases LABEL,...] [--heavy]"
         ),
         "repeats": repeats,
         "cases": cases,
@@ -453,13 +465,20 @@ def check_trace_overhead(repeats: int, case_filter: Optional[str]) -> int:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
+    mode = parser.add_mutually_exclusive_group(required=True)
+    mode.add_argument(
         "--check",
         action="store_true",
         help="compare a fresh measurement against the committed baseline "
         f"(fail below {REGRESSION_TOLERANCE:.0%} of the committed speedup)",
     )
-    parser.add_argument(
+    mode.add_argument(
+        "--write",
+        action="store_true",
+        help="measure the selected cases and merge them into the committed "
+        "baseline, keeping every other entry",
+    )
+    mode.add_argument(
         "--trace-overhead",
         action="store_true",
         help="compare the default disabled-tracing path against an "
@@ -500,10 +519,7 @@ def main() -> int:
         return check_against_baseline(
             args.repeats, args.cases, args.kernel, args.heavy
         )
-    if args.cases:
-        parser.error("--cases only applies to --check / --trace-overhead "
-                     "(the committed baseline must cover every case)")
-    write_baseline(args.repeats, args.kernel, args.heavy)
+    write_baseline(args.repeats, args.cases, args.kernel, args.heavy)
     return 0
 
 

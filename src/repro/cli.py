@@ -188,9 +188,9 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=("state", "batch", "auto"),
         default="state",
         help="step kernel: state (default scalar), batch (numpy bitplane "
-        "matrices; errors if numpy is missing), or auto (batch when numpy "
-        "is importable, else state) — schedules are byte-identical either "
-        "way",
+        "matrices; errors if numpy is missing), or auto (batch for "
+        "heuristics with a vector path, else state) — schedules are "
+        "byte-identical either way",
     )
 
     trace = sub.add_parser(

@@ -75,8 +75,7 @@ def dedup_masks(problem: Problem, schedule: Schedule) -> Tuple[List[MaskStep], i
     sent = kept_bw = 0
     for step in schedule.steps:
         kept: MaskStep = {}
-        for arc, tokens in sorted(step.sends.items()):
-            mask = tokens.mask
+        for arc, mask in sorted(step.iter_sends_masks()):
             sent += mask.bit_count()
             dst = arc[1]
             # ``delivered`` is read only to dedup deliveries to ``dst``,

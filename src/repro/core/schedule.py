@@ -98,6 +98,16 @@ class Timestep:
     def num_moves(self) -> int:
         return sum(len(tokens) for tokens in self.sends.values())
 
+    def iter_sends_masks(self) -> Iterator[Tuple[Tuple[int, int], int]]:
+        """Yield ``((src, dst), mask)`` for every send, in ``sends`` order.
+
+        Mask-level passes (pruning) read timesteps through this, so a
+        timestep kept in array form (the batch kernel's) can hand out raw
+        bitmasks without building a :class:`TokenSet` per send.
+        """
+        for arc, tokens in self.sends.items():
+            yield arc, tokens.mask
+
     def sent(self, src: int, dst: int) -> TokenSet:
         return self.sends.get((src, dst), EMPTY_TOKENSET)
 

@@ -119,6 +119,10 @@ def run_trial(
     so the records are a deterministic function of the arguments and the
     trial can run in any process, in any order.
 
+    Engines run with ``kernel="auto"``: heuristics with a
+    ``propose_vector`` path run on the batch kernel, the rest on the
+    scalar one; records and traces are the same either way.
+
     Inside a profiled sweep (an ambient registry from
     :func:`repro.obs.metrics_active`) the trial's own phases are timed
     as ``instance_build``, ``bounds`` and ``prune``, beside the engines'
@@ -143,6 +147,7 @@ def run_trial(
             heuristic,
             rng=random.Random(base_seed * 31 + trial * 7 + h_index * 101),
             max_steps=max_steps,
+            kernel="auto",
         )
         result = engine.run()
         with _phase(metrics, "prune"):

@@ -42,7 +42,9 @@ grid:
   an ambient :class:`repro.obs.MetricsRegistry` around its point
   function; workers ship their snapshots home and the executor merges
   them into one sweep-level profile (``Executor.profile``), embedded
-  in the ledger's ``sweep_end`` event.
+  in the ledger's ``sweep_end`` event.  A profiled sweep with the cache
+  on also times each cache read and write in the parent, as the
+  ``cache_load`` and ``cache_store`` phases.
 
 Parallel output is bit-identical to serial output by construction:
 results are returned in grid order regardless of completion order, and
@@ -75,6 +77,7 @@ from typing import (
     Sequence,
     TextIO,
     Tuple,
+    TypeVar,
 )
 
 from repro.obs.events import EventWriter, make_event
@@ -107,6 +110,7 @@ CACHE_VERSION = "1"
 _logger = get_logger(__name__)
 
 JsonDict = Dict[str, Any]
+_T = TypeVar("_T")
 PointFunction = Callable[["PointSpec"], JsonDict]
 
 _MISSING = object()
@@ -616,6 +620,16 @@ class Executor:
             json.dump(payload, handle, sort_keys=True)
         os.replace(tmp, path)
 
+    def _timed(self, fn: Callable[..., _T], phase: str) -> Callable[..., _T]:
+        """``fn`` with each call attributed to ``phase`` of the profile."""
+        timer = self.profile.timer
+
+        def timed(*args: Any) -> _T:
+            with timer(phase):
+                return fn(*args)
+
+        return timed
+
     # -- telemetry ------------------------------------------------------
     def _emit(self, outcomes: Sequence[PointOutcome]) -> None:
         self.outcomes.extend(outcomes)
@@ -784,10 +798,18 @@ class Executor:
         results: List[Optional[JsonDict]] = [None] * len(specs)
         outcomes: List[Optional[PointOutcome]] = [None] * len(specs)
         ledger = self._open_ledger(specs)
+        # Decided once per sweep: a profiled, cached sweep times each
+        # cache read and write as its own phase; every other sweep calls
+        # the plain methods and pays nothing per point.
+        cache_load = self._cache_load
+        cache_store = self._cache_store
+        if self.config.profile and self.config.use_cache:
+            cache_load = self._timed(cache_load, "cache_load")
+            cache_store = self._timed(cache_store, "cache_store")
 
         pending: List[int] = []
         for i, spec in enumerate(specs):
-            cached = self._cache_load(spec)
+            cached = cache_load(spec)
             if cached is not None:
                 results[i] = cached
                 outcomes[i] = PointOutcome(
@@ -824,7 +846,7 @@ class Executor:
             outcome = outcomes[i]
             result = results[i]
             if outcome is not None and outcome.ok and result is not None:
-                self._cache_store(specs[i], result)
+                cache_store(specs[i], result)
 
         final_outcomes = [o for o in outcomes if o is not None]
         failures = [o for o in final_outcomes if not o.ok]

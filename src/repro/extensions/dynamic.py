@@ -209,7 +209,7 @@ class DynamicEngine:
         # the base problem's arcs do not apply; kernel choice still must
         # not change behavior (proposals run through the dict path, and
         # heuristics guard supply reads with a problem-identity check).
-        self._state_factory = resolve_state_factory(kernel)
+        self._state_factory = resolve_state_factory(kernel, heuristic)
 
     def run(self) -> RunResult:
         base = self.conditions.problem

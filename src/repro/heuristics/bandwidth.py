@@ -29,10 +29,19 @@ Mechanics per timestep, per token ``t`` still needed somewhere:
    in-neighbors that hold them, subject to per-arc capacity budgets.
    Requests that do not fit are retried on later turns.
 
-Wanter lists and per-vertex supplier arrays are precomputed at reset;
-the per-step scans work on raw bitmasks and the supplier ``max`` is an
-explicit loop consuming the RNG exactly as the old ``key=...`` scan did,
-keeping schedules byte-identical to the pre-rewrite implementation.
+Wanter lists, per-vertex supplier arrays and integer out-neighbor lists
+are precomputed at reset (the dynamic-conditions engine calls reset again
+whenever the turn's graph changes, so the lists follow it).  The per-step
+scans work on raw bitmasks, and the supplier ``max`` is an explicit loop
+consuming the RNG exactly as the old ``key=...`` scan did, keeping
+schedules byte-identical to the pre-rewrite implementation.
+
+The relay search of step 2 stops as soon as every far needer has a
+label.  That is exact because a breadth-first search fixes a vertex's
+label when it discovers the vertex; later rounds only label other
+vertices.  So the relay set is the one a full search would give.  A far
+needer that no one-hop vertex reaches (a directed or disconnected graph)
+keeps the search running to exhaustion, as before.
 """
 
 from __future__ import annotations
@@ -68,28 +77,43 @@ class BandwidthHeuristic(Heuristic):
             self._sup_srcs.append([arc.src for arc in in_arcs])
             self._sup_keys.append([(arc.src, arc.dst) for arc in in_arcs])
             self._sup_caps.append([arc.capacity for arc in in_arcs])
+        self._out_nbrs: List[List[int]] = [
+            [arc.dst for arc in problem.out_arcs(v)]
+            for v in range(problem.num_vertices)
+        ]
 
     def _closest_one_hop_labels(
-        self, ctx: StepContext, one_hop: List[int]
+        self, one_hop: List[int], targets: List[int]
     ) -> List[int]:
-        """Multi-source BFS labels: for every vertex, the id of the
-        nearest one-hop-knowledge vertex (−1 when unreachable).
+        """Multi-source BFS labels: for every vertex the BFS reached, the
+        id of the nearest one-hop-knowledge vertex (−1 otherwise).
 
         Sources are seeded in increasing id order, so ties break toward
-        the smallest vertex id deterministically.
+        the smallest vertex id deterministically.  A label is final the
+        moment its vertex is discovered, so the search stops as soon as
+        every vertex in ``targets`` (disjoint from ``one_hop``) has one;
+        only the targets' labels are meaningful after an early stop.
         """
-        problem = ctx.problem
-        label = [-1] * problem.num_vertices
-        queue: deque[int] = deque()
+        out_nbrs = self._out_nbrs
+        label = [-1] * len(out_nbrs)
+        pending = [False] * len(out_nbrs)
+        for x in targets:
+            pending[x] = True
+        remaining = len(targets)
         for u in one_hop:
             label[u] = u
-            queue.append(u)
+        queue: deque[int] = deque(one_hop)
         while queue:
             v = queue.popleft()
-            for arc in problem.out_arcs(v):
-                if label[arc.dst] == -1:
-                    label[arc.dst] = label[v]
-                    queue.append(arc.dst)
+            source = label[v]
+            for w in out_nbrs[v]:
+                if label[w] == -1:
+                    label[w] = source
+                    if pending[w]:
+                        remaining -= 1
+                        if not remaining:
+                            return label
+                    queue.append(w)
         return label
 
     def propose(self, ctx: StepContext) -> Proposal:
@@ -104,14 +128,17 @@ class BandwidthHeuristic(Heuristic):
         pulls: Dict[int, List[int]] = {}  # vertex -> tokens it pulls this turn
 
         # Which tokens each vertex could obtain in one turn: union of
-        # in-neighbor possession.
+        # in-neighbor possession; ``gain`` keeps the ones it lacks (the
+        # tokens for which it is one-hop-knowledge).
         sup_srcs = self._sup_srcs
         one_hop_supply: List[int] = []
+        gain: List[int] = []
         for v in range(num_vertices):
             supply = 0
             for s in sup_srcs[v]:
                 supply |= masks[s]
             one_hop_supply.append(supply)
+            gain.append(supply & ~masks[v])
 
         for token in range(problem.num_tokens):
             bit = 1 << token
@@ -127,14 +154,10 @@ class BandwidthHeuristic(Heuristic):
                     far_needers.append(v)
             if not far_needers:
                 continue
-            one_hop = [
-                u
-                for u in range(num_vertices)
-                if not masks[u] & bit and one_hop_supply[u] & bit
-            ]
+            one_hop = [u for u in range(num_vertices) if gain[u] & bit]
             if not one_hop:
                 continue  # token cannot advance this turn
-            label = self._closest_one_hop_labels(ctx, one_hop)
+            label = self._closest_one_hop_labels(one_hop, far_needers)
             relays: Set[int] = set()
             for x in far_needers:
                 if label[x] != -1:

@@ -21,6 +21,15 @@ indices; the ``min``/``max`` selections are explicit loops that consume
 the RNG exactly as the old ``key=...`` scans did (one draw per candidate
 in the original candidate order, first element winning ties), keeping
 schedules byte-identical to the pre-rewrite implementation.
+
+Each receiver's supply is cached across the passes of one timestep: its
+candidate mask and the in-arc slots that still carry budget.  This is
+sound because an arc's budget is spent only when its head is visited —
+only ``v``'s own visit spends budget on ``v``'s in-arcs, and possession
+does not change while the step is planned.  So after each visit the
+cache only loses the planned token, or, when the chosen arc has just
+run out, is rebuilt from the slots still carrying budget.  The old code
+re-ORed every budgeted in-neighbor on every visit.
 """
 
 from __future__ import annotations
@@ -72,24 +81,28 @@ class GlobalGreedyHeuristic(Heuristic):
         planned = [0] * problem.num_vertices
         in_idx = self._in_idx
         in_srcs = self._in_srcs
+        arc_keys = self._arc_keys
         sends: Dict[Tuple[int, int], int] = {}
 
+        # Per-receiver supply caches for the whole call (see the module
+        # docstring).  Every capacity is >= 1, so at the start every
+        # in-arc is usable.
+        usable_of: List[List[int]] = [[] for _ in range(problem.num_vertices)]
+        cands = [0] * problem.num_vertices
         active = self._active_template.copy()
+        for v in active:
+            supply = 0
+            for s in in_srcs[v]:
+                supply |= masks[s]
+            usable_of[v] = list(range(len(in_srcs[v])))
+            cands[v] = supply & ~masks[v]
         rng.shuffle(active)
         while active:
             still_active = []
             for v in active:
                 # Tokens some budgeted in-neighbor holds that v lacks and
                 # is not already receiving this turn.
-                idxs = in_idx[v]
-                srcs = in_srcs[v]
-                supply = 0
-                usable: List[int] = []
-                for j in range(len(idxs)):
-                    if budgets[idxs[j]] > 0:
-                        supply |= masks[srcs[j]]
-                        usable.append(j)
-                candidates = supply & ~masks[v] & ~planned[v]
+                candidates = cands[v]
                 if not candidates:
                     continue
                 # Explicit min over (tentative_count, rng.random()) across
@@ -112,6 +125,9 @@ class GlobalGreedyHeuristic(Heuristic):
                 bit = 1 << best_t
                 # Explicit max over (budget, rng.random()) across usable
                 # suppliers that hold the token, in in-arc order.
+                idxs = in_idx[v]
+                srcs = in_srcs[v]
+                usable = usable_of[v]
                 best_j = -1
                 best_b = -1
                 best_r2 = 0.0
@@ -124,11 +140,21 @@ class GlobalGreedyHeuristic(Heuristic):
                             best_b = b
                             best_r2 = r
                 arc_index = idxs[best_j]
-                budgets[arc_index] -= 1
+                budgets[arc_index] = best_b - 1
                 planned[v] |= bit
                 tentative_counts[best_t] += 1
-                key = self._arc_keys[arc_index]
+                key = arc_keys[arc_index]
                 sends[key] = sends.get(key, 0) | bit
                 still_active.append(v)
+                if best_b > 1:
+                    cands[v] = candidates ^ bit
+                else:
+                    # The chosen arc ran out: drop its slot and rebuild
+                    # the supply from the in-arcs still carrying budget.
+                    usable.remove(best_j)
+                    supply = 0
+                    for j in usable:
+                        supply |= masks[srcs[j]]
+                    cands[v] = supply & ~masks[v] & ~planned[v]
             active = still_active
         return {key: TokenSet(mask) for key, mask in sends.items()}

@@ -85,7 +85,7 @@ class LocalEngine:
         # LOCD algorithms only ever see per-vertex Knowledge, so the
         # kernel choice cannot change decisions; the batch kernel's
         # matrix stays unsynced (lazy) and costs nothing here.
-        self._state_factory = resolve_state_factory(kernel)
+        self._state_factory = resolve_state_factory(kernel, algorithm)
 
     def _decide_step(
         self,

@@ -39,6 +39,9 @@ Kernel selection is centralized in :func:`resolve_kernel`: ``"state"``
 :class:`~repro.sim.bitplanes.MissingNumpyError` without numpy),
 ``"auto"`` (batch when numpy is importable, else state), or a callable
 ``Problem -> SimState`` for tests that inject instrumented kernels.
+Engines reach it through :func:`repro.sim.engine.resolve_state_factory`,
+which first narrows ``"auto"`` to the scalar kernel for deciders without
+``propose_vector``.
 """
 
 from __future__ import annotations
@@ -657,7 +660,8 @@ def resolve_kernel(kernel: KernelChoice) -> KernelFactory:
     :class:`BatchState` and raises :class:`MissingNumpyError` up front
     when numpy is unavailable (a run that would die on first use should
     die at configuration time instead); ``"auto"`` degrades gracefully
-    to :class:`SimState` without numpy.  A callable is returned as-is —
+    to :class:`SimState` without numpy (engines resolve ``"auto"`` per
+    decider first, in :func:`repro.sim.engine.resolve_state_factory`).  A callable is returned as-is —
     the hook the seeded-fault tests use to inject instrumented kernels.
     """
     if kernel is None:

@@ -153,19 +153,23 @@ def masks_to_matrix(masks: Sequence[int], num_tokens: int) -> PlaneArray:
 def matrix_to_masks(matrix: PlaneArray) -> List[int]:
     """Unpack a ``(V, P)`` plane matrix back into per-vertex int bitmasks.
 
-    The single-plane fast path is one C-level ``tolist`` call; the
-    multi-plane path folds each extra plane in with shifted ORs.
+    The single-plane fast path is one C-level ``tolist`` call; wider
+    matrices decode each row with one ``int.from_bytes`` over the
+    matrix's little-endian bytes.
     """
     if matrix.ndim != 2:
         raise ValueError(f"expected a (V, P) matrix, got shape {matrix.shape}")
     planes = matrix.shape[1]
-    masks: List[int] = matrix[:, 0].tolist()
-    for p in range(1, planes):
-        shift = p * _PLANE_BITS
-        for v, plane in enumerate(matrix[:, p].tolist()):
-            if plane:
-                masks[v] |= plane << shift
-    return masks
+    if planes == 1:
+        masks: List[int] = matrix[:, 0].tolist()
+        return masks
+    width = planes * _PLANE_BITS // 8
+    buf = matrix.astype("<u8", copy=False).tobytes()
+    from_bytes = int.from_bytes
+    return [
+        from_bytes(buf[lo : lo + width], "little")
+        for lo in range(0, len(buf), width)
+    ]
 
 
 def tokensets_to_matrix(sets: Iterable[TokenSet], num_tokens: int) -> PlaneArray:

@@ -68,14 +68,25 @@ Proposal = Mapping[Tuple[int, int], TokenSet]
 
 def resolve_state_factory(
     kernel: Union[str, Callable[[Problem], SimState], None],
+    decider: object = None,
 ) -> Callable[[Problem], SimState]:
     """Resolve an engine ``kernel=`` argument to a state factory.
+
+    The one place every engine (:class:`Engine`, the LOCD
+    :class:`repro.locd.LocalEngine`, the dynamic-conditions engine)
+    resolves its kernel.  ``"auto"`` is decided per *decider* — the
+    heuristic or LOCD algorithm the engine drives: the batch kernel when
+    it has ``propose_vector`` (its proposals then skip the per-arc
+    Python loops), the scalar kernel otherwise (without a vector path
+    the batch kernel has nothing to vectorize).
 
     The default scalar kernel resolves without touching
     :mod:`repro.sim.batch` at all, so the classic path stays import-free;
     anything else defers to :func:`repro.sim.batch.resolve_kernel`.
     """
     if kernel is None or kernel == "state":
+        return SimState
+    if kernel == "auto" and not hasattr(decider, "propose_vector"):
         return SimState
     from repro.sim.batch import resolve_kernel
 
@@ -320,13 +331,19 @@ class Engine:
         Which step kernel holds the run's state: ``"state"`` (the
         default :class:`SimState`), ``"batch"`` (the numpy bitplane
         :class:`repro.sim.batch.BatchState`; raises a clear error when
-        numpy is unavailable), ``"auto"`` (batch when numpy is
-        importable, else state), or a ``Problem -> SimState`` callable.
-        Kernels are interchangeable: schedules and traces are
-        byte-identical whichever one runs (the batch-equivalence suite
-        enforces this).  With the batch kernel, heuristics exposing
-        ``propose_vector`` (Round-Robin) skip the per-arc Python
-        proposal/validation loops entirely.
+        numpy is unavailable), ``"auto"`` (batch exactly when the
+        heuristic has ``propose_vector`` — Round-Robin, Random, Local,
+        Sequential — else state; see :func:`resolve_state_factory`), or
+        a ``Problem -> SimState`` callable.  Kernels are
+        interchangeable: schedules and traces are byte-identical
+        whichever one runs (the batch-equivalence suite enforces this).
+        With the batch kernel, heuristics exposing ``propose_vector``
+        skip the per-arc Python proposal/validation loops entirely.
+        The default stays ``"state"``: on small runs (n = 40, an
+        8-token file) the batch kernel's per-step array work costs more
+        than it saves, so only the figure drivers
+        (:func:`repro.experiments.runner.run_trial`) opt into
+        ``"auto"``.
     """
 
     def __init__(
@@ -359,7 +376,7 @@ class Engine:
         self._capacities: Dict[Tuple[int, int], int] = {
             (arc.src, arc.dst): arc.capacity for arc in problem.arcs
         }
-        self._state_factory = resolve_state_factory(kernel)
+        self._state_factory = resolve_state_factory(kernel, heuristic)
 
     def run(self) -> RunResult:
         problem = self.problem

@@ -572,6 +572,45 @@ class TestRunLedger:
         (profiled_file,) = sorted((tmp_path / "profiled").iterdir())
         assert plain_file.read_bytes() == profiled_file.read_bytes()
 
+    def test_profile_times_cache_loads_and_stores(self, tmp_path):
+        # A cold cached sweep stores every point once (its lookups miss
+        # and are timed too); a warm rerun loads every point once and
+        # stores nothing.  Profiling must not move a record.
+        specs = [
+            PointSpec.make(
+                "fig2",
+                "fig2",
+                i,
+                params={"n": 10, "file_tokens": 8, "trial": i},
+                seed=1,
+            )
+            for i in range(3)
+        ]
+
+        def executor(cache, profile):
+            return Executor(
+                ExecutorConfig(
+                    use_cache=True, cache_dir=str(tmp_path / cache), profile=profile
+                )
+            )
+
+        cold = executor("profiled", True)
+        cold_out = cold.run(specs)
+        phases = cold.profile.snapshot()["phases"]
+        assert phases["cache_store"]["calls"] == len(specs)
+        assert phases["cache_load"]["calls"] == len(specs)
+        warm = executor("profiled", True)
+        warm_out = warm.run(specs)
+        phases = warm.profile.snapshot()["phases"]
+        assert phases["cache_load"]["calls"] == len(specs)
+        assert "cache_store" not in phases
+        assert "heuristic_select" not in phases  # nothing was computed
+
+        plain = executor("plain", False)
+        assert plain.run(specs) == cold_out == warm_out
+        assert plain.run(specs) == cold_out
+        assert plain.profile.snapshot()["phases"] == {}
+
     def test_unprofiled_sweep_keeps_profile_empty(self, tmp_path):
         executor = Executor(
             ExecutorConfig(ledger_path=str(tmp_path / "l.jsonl"))

@@ -144,6 +144,18 @@ class TestMatrixRoundTrip:
             assert matrix.shape == (len(masks), plane_count(m))
             assert matrix_to_masks(matrix) == masks
 
+    def test_round_trip_many_planes_and_row_slices(self):
+        # Multi-plane matrices unpack through the byte path; row slices
+        # (how lazy timesteps read their sends) must unpack the same.
+        rng = random.Random(9)
+        for m in (65, 128, 129, 191, 192, 200, 256, 512, 600):
+            masks = [rng.getrandbits(m) for _ in range(rng.randint(1, 9))]
+            masks.append(0)
+            matrix = masks_to_matrix(masks, m)
+            assert matrix_to_masks(matrix) == masks
+            assert matrix_to_masks(matrix[1:-1]) == masks[1:-1]
+            assert matrix_to_masks(matrix[::2]) == masks[::2]
+
     def test_non_matrix_rejected(self):
         with pytest.raises(ValueError):
             matrix_to_masks(np.zeros(3, dtype=np.uint64))
